@@ -37,7 +37,8 @@ use hvac_telemetry::{
 
 use crate::hash::Sha256;
 use crate::record::{
-    split_line, ChainRecord, Payload, CHAIN_FORMAT, GENESIS_PREV_HASH, OBSERVATION_DIM,
+    encode_record, split_line, ChainRecord, Payload, CHAIN_FORMAT, GENESIS_PREV_HASH,
+    OBSERVATION_DIM,
 };
 
 /// The byte sink an [`AuditChain`] appends through. Ordinary chains
@@ -540,17 +541,12 @@ impl AuditChain {
             return Err(std::io::Error::other("audit chain already sealed"));
         }
         let start = process_elapsed_ns();
-        let record = ChainRecord::new(
-            kind,
-            inner.next_seq,
-            start,
-            inner.prev_hash.clone(),
-            payload,
-        );
-        inner.out.write_all(record.to_line().as_bytes())?;
-        inner.digest.update(record.record_hash.as_bytes());
+        let (record_hash, line) =
+            encode_record(kind, inner.next_seq, start, &inner.prev_hash, &payload);
+        inner.out.write_all(line.as_bytes())?;
+        inner.digest.update(record_hash.as_bytes());
         inner.digest.update(b"\n");
-        inner.prev_hash = record.record_hash;
+        inner.prev_hash = record_hash;
         inner.next_seq += 1;
         inner.since_flush += 1;
         let due = match self.config.flush {
@@ -1013,6 +1009,53 @@ mod tests {
         assert!(AuditChain::recover(&path, ChainConfig::default()).is_err());
         std::fs::remove_file(&path).unwrap();
         assert!(AuditChain::recover(&path, ChainConfig::default()).is_err());
+    }
+
+    #[test]
+    fn appended_bytes_equal_the_record_rendering_for_every_kind() {
+        // A crashed chain resumed by `recover` carries every kind:
+        // genesis, decisions with and without a trace id, a transition,
+        // cadence checkpoints, the recovery record and the seal.
+        let path = crashed_chain("byte-identity", 3);
+        let (chain, _) = AuditChain::recover(&path, ChainConfig::default()).unwrap();
+        chain
+            .append_decision(obs(0.5), 22, 28, 4, "hold", Some("req-bytes"))
+            .unwrap();
+        chain.append_transition("normal", "hold").unwrap();
+        chain.seal().unwrap();
+        drop(chain);
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut kinds = std::collections::BTreeSet::new();
+        for line in text.split_inclusive('\n') {
+            let record =
+                ChainRecord::from_json(&parse(split_line(line.trim_end()).unwrap()).unwrap())
+                    .unwrap();
+            let rebuilt = ChainRecord::new(
+                &record.kind,
+                record.seq,
+                record.t_ns,
+                record.prev_hash.clone(),
+                record.payload.clone(),
+            );
+            assert_eq!(rebuilt.to_line(), line, "seq {}", record.seq);
+            let label = match &record.payload {
+                Payload::Decision { trace_id: None, .. } => "decision".to_string(),
+                Payload::Decision { .. } => "decision+trace_id".to_string(),
+                _ => record.kind,
+            };
+            kinds.insert(label);
+        }
+        let expected = [
+            "checkpoint",
+            "decision",
+            "decision+trace_id",
+            "genesis",
+            "recovery",
+            "seal",
+            "transition",
+        ];
+        assert_eq!(kinds.into_iter().collect::<Vec<_>>(), expected);
     }
 
     #[test]

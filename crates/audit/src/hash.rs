@@ -100,14 +100,18 @@ impl Sha256 {
     /// Pads and finishes the stream, returning the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
-        }
-        // Length goes in raw (bypassing `update`'s length accounting).
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        // 0x80, zeros up to 56 mod 64, then the 64-bit message length:
+        // one `update` that ends exactly on a block boundary.
+        let zeros_end = if self.buf_len < 56 {
+            56 - self.buf_len
+        } else {
+            120 - self.buf_len
+        };
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[zeros_end..zeros_end + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..zeros_end + 8]);
+        debug_assert_eq!(self.buf_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -207,6 +211,21 @@ mod tests {
             sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+        // Runs of `a` at every padding edge: 55 and 119 leave room for
+        // the length in the last block, 56 and 120 spill it into an
+        // extra block, 63 and 64 pad from a nearly full and a full
+        // block. Digests from coreutils `sha256sum`.
+        let digests = [
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+        ];
+        for (len, digest) in [55, 56, 63, 64, 119, 120].into_iter().zip(digests) {
+            assert_eq!(sha256_hex(&vec![b'a'; len]), digest, "{len} bytes");
+        }
     }
 
     #[test]

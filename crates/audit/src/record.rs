@@ -197,16 +197,7 @@ impl ChainRecord {
 
     /// The full length-prefixed line, newline included.
     pub fn to_line(&self) -> String {
-        // The JSON is the canonical text with `record_hash` appended as
-        // the final field, so the stored bytes and the hashed bytes
-        // agree by construction.
-        let canonical = self.canonical();
-        let json = format!(
-            "{},\"record_hash\":\"{}\"}}",
-            &canonical[..canonical.len() - 1],
-            self.record_hash
-        );
-        format!("{} {json}\n", json.len())
+        line_of(self.canonical(), &self.record_hash)
     }
 
     /// Parses the JSON part of one chain line (length prefix already
@@ -300,6 +291,34 @@ impl ChainRecord {
             record_hash,
         })
     }
+}
+
+/// Renders, hashes and frames one record from its parts in a single
+/// pass: returns its `record_hash` and its full chain line, the bytes
+/// [`ChainRecord::new`]`(..).`[`to_line`](ChainRecord::to_line)`()`
+/// would produce, with the canonical text rendered once.
+pub(crate) fn encode_record(
+    kind: &str,
+    seq: u64,
+    t_ns: u64,
+    prev_hash: &str,
+    payload: &Payload,
+) -> (String, String) {
+    let canonical = canonical_text(kind, seq, t_ns, prev_hash, payload);
+    let record_hash = sha256_hex(canonical.as_bytes());
+    let line = line_of(canonical, &record_hash);
+    (record_hash, line)
+}
+
+/// Frames canonical text as a chain line. The JSON is the canonical
+/// text with `record_hash` appended as the final field, so the stored
+/// bytes and the hashed bytes agree by construction.
+fn line_of(mut canonical: String, record_hash: &str) -> String {
+    canonical.pop(); // the closing '}'
+    canonical.push_str(",\"record_hash\":\"");
+    canonical.push_str(record_hash);
+    canonical.push_str("\"}");
+    format!("{} {canonical}\n", canonical.len())
 }
 
 /// The canonical JSON text of a record, `record_hash` excluded.

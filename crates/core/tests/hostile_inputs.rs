@@ -366,3 +366,87 @@ fn malformed_tree_corpus_is_rejected_not_served() {
         }
     }
 }
+
+/// Three `/tick`-sized bodies, each exactly [`MAX_FLEET_BODY_BYTES`]:
+/// one long string, many short strings, and multi-byte text. Each is a
+/// valid, empty tick (`"requests":[]`) carrying a `pad` field the
+/// handler ignores, so the parser reads every byte of it.
+fn max_size_string_bodies() -> Vec<(&'static str, String)> {
+    use veri_hvac::fleet::MAX_FLEET_BODY_BYTES;
+
+    let frame = |pad: &str| format!("{{\"pad\":{pad},\"requests\":[]}}");
+    let room = MAX_FLEET_BODY_BYTES - frame("").len();
+
+    let long = format!("\"{}\"", "a".repeat(room - 2));
+
+    let mut short = String::from("[");
+    while room - short.len() > 40 {
+        short.push_str("\"short string 16B\",");
+    }
+    short.push_str(&format!("\"{}\"]", "a".repeat(room - short.len() - 3)));
+
+    let mut wide = String::from("\"");
+    for c in ['é', '€', '😀', 'a'].iter().cycle() {
+        if room - wide.len() < 1 + c.len_utf8() {
+            break;
+        }
+        wide.push(*c);
+    }
+    wide.push_str(&"a".repeat(room - wide.len() - 1));
+    wide.push('"');
+
+    let bodies = vec![
+        ("one long string", frame(&long)),
+        ("many short strings", frame(&short)),
+        ("multi-byte text", frame(&wide)),
+    ];
+    for (shape, body) in &bodies {
+        assert_eq!(body.len(), MAX_FLEET_BODY_BYTES, "{shape}");
+    }
+    bodies
+}
+
+/// String parsing is linear in the body. A parser that re-validated
+/// the rest of the input for every string character spent 1.1 s to
+/// over 10 s of one worker's CPU on each of these bodies (release
+/// build); linear, the slowest takes about 10 ms through `POST /tick`
+/// in a debug build. The 100 ms bound sits about 10× from both, and
+/// each figure is the best of three runs so a busy test host does not
+/// trip it.
+#[test]
+fn max_size_string_bodies_parse_in_linear_time() {
+    use hvac_telemetry::http::blocking_request;
+    use hvac_telemetry::json::parse;
+    use std::time::{Duration, Instant};
+    use veri_hvac::fleet::{serve_fleet, Fleet, FleetOptions};
+
+    const BOUND: Duration = Duration::from_millis(100);
+    fn best_of_three(mut run: impl FnMut()) -> Duration {
+        (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                run();
+                started.elapsed()
+            })
+            .min()
+            .expect("three runs")
+    }
+
+    let fleet = Fleet::new(FleetOptions::default());
+    fleet.add_tenant("t0", toy_policy(), None).unwrap();
+    let server = serve_fleet(fleet, "127.0.0.1:0").expect("bind");
+    for (shape, body) in max_size_string_bodies() {
+        let parsed = best_of_three(|| {
+            let value = parse(&body).unwrap_or_else(|e| panic!("{shape}: {e}"));
+            assert!(value.get("pad").is_some(), "{shape}");
+        });
+        let served = best_of_three(|| {
+            let (status, text) = blocking_request(server.addr(), "POST", "/tick", &body).unwrap();
+            assert_eq!(status, 200, "{shape}: {text}");
+            assert!(text.contains("\"count\":0"), "{shape}: {text}");
+        });
+        assert!(parsed < BOUND, "{shape}: parse took {parsed:?}");
+        assert!(served < BOUND, "{shape}: POST /tick took {served:?}");
+    }
+    server.shutdown();
+}

@@ -91,8 +91,9 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 /// fixed pool round-robins across more connections than workers.
 const TURN_POLL: Duration = Duration::from_millis(1);
 /// Maximum requests served in one worker turn before a keep-alive
-/// connection is rotated to the back of the queue. Bounds how long a
-/// hot connection can monopolise a worker while others wait.
+/// connection is rotated to the back of the queue, if other
+/// connections are waiting. Bounds how long a hot connection can
+/// monopolise a worker while others wait.
 const MAX_TURN_REQUESTS: usize = 64;
 /// Maximum accepted request header block.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -704,9 +705,9 @@ enum NextRequest {
     Closed,
 }
 
-/// Serves up to [`MAX_TURN_REQUESTS`] on one connection, yielding the
-/// worker as soon as the connection goes idle while other admitted
-/// connections are waiting.
+/// Serves one connection until it closes or yields the worker: as
+/// soon as it goes idle while other admitted connections are waiting,
+/// or after [`MAX_TURN_REQUESTS`] requests while others are waiting.
 fn serve_turn(
     mut conn: QueuedConn,
     queue: &ConnQueue,
@@ -714,7 +715,8 @@ fn serve_turn(
     limits: Limits,
     shutdown: &AtomicBool,
 ) -> Turn {
-    for _ in 0..MAX_TURN_REQUESTS {
+    let mut budget = MAX_TURN_REQUESTS;
+    loop {
         match await_request(&mut conn, queue, limits, shutdown) {
             NextRequest::Ready => {}
             NextRequest::Rotate => return Turn::Keep(conn),
@@ -727,10 +729,19 @@ fn serve_turn(
         if !keep_alive || shutdown.load(Ordering::Acquire) {
             return Turn::Done;
         }
+        budget -= 1;
+        if budget == 0 {
+            // Turn budget spent: rotate so a hot connection cannot
+            // monopolise the worker while others queue. With nobody
+            // waiting, a hand-off would only wake another idle worker,
+            // and every worker a hot connection visits grows its own
+            // allocator arena: start the next turn here instead.
+            if queue.has_pending() {
+                return Turn::Keep(conn);
+            }
+            budget = MAX_TURN_REQUESTS;
+        }
     }
-    // Turn budget spent: rotate so a hot connection cannot monopolise
-    // the worker while others queue.
-    Turn::Keep(conn)
 }
 
 /// Parks on the socket until the next request's first byte arrives.

@@ -244,6 +244,7 @@ impl std::error::Error for JsonError {}
 /// ```
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -257,6 +258,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -402,12 +404,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("nonempty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next delimiter as one
+                    // slice. Both delimiters are ASCII, so the cut falls
+                    // on a char boundary of the (already UTF-8) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.input[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -484,6 +489,57 @@ mod tests {
         let nasty = "quote\" back\\slash \ncontrol\u{0007} unicode°∆ tab\t";
         let v = parse(&escaped(nasty)).unwrap();
         assert_eq!(v.as_str(), Some(nasty));
+
+        // Seeded random strings: plain runs of 1- to 4-byte characters
+        // cut by controls, quotes, backslashes and `\u` escapes, so
+        // escapes land at the start, middle and end of runs.
+        const PIECES: [char; 12] = [
+            'a', '~', ' ', 'é', '°', '∆', '€', '😀', '𝄞', '\u{1}', '"', '\\',
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..2_000 {
+            let mut expected = String::new();
+            // Hand-built literal: `\u` escapes instead of `escaped`'s
+            // shorthands, at random positions between raw characters.
+            let mut literal = String::from("\"");
+            for _ in 0..next(24) {
+                let c = PIECES[next(PIECES.len())];
+                expected.push(c);
+                // Astral characters stay raw: the parser decodes each
+                // half of a surrogate pair to U+FFFD.
+                let escape = matches!(c, '"' | '\\' | '\u{1}') || next(3) == 0;
+                if escape && c.len_utf16() == 1 {
+                    literal.push_str(&format!("\\u{:04x}", u32::from(c)));
+                } else {
+                    literal.push(c);
+                }
+            }
+            assert_eq!(
+                parse(&escaped(&expected)).unwrap().as_str(),
+                Some(&*expected)
+            );
+            let unterminated = literal.clone();
+            literal.push('"');
+            assert_eq!(
+                parse(&literal).unwrap().as_str(),
+                Some(&*expected),
+                "{literal}"
+            );
+            assert_eq!(
+                parse(&unterminated),
+                Err(JsonError {
+                    message: "unterminated string",
+                    offset: unterminated.len(),
+                }),
+                "{unterminated}"
+            );
+        }
     }
 
     #[test]
